@@ -713,10 +713,10 @@ class Campaign:
         might be interesting replay the scalar pipeline — which also
         performs the virgin merge exactly as the serial engine would.
         Everything else is charged from the batch pricing without ever
-        materializing a coverage map; with telemetry disabled, maximal
-        runs of consecutive cheap traces are charged in one vectorized
-        sweep whose float accumulation order is bit-identical to the
-        per-trace loop (see :meth:`_charge_cheap_run`).
+        materializing a coverage map: maximal runs of consecutive cheap
+        traces are charged — telemetry deposits included — in one
+        vectorized sweep whose float accumulation order is bit-identical
+        to the per-trace loop (see :meth:`_charge_cheap_run`).
 
         The conservative flags are sound under in-order processing:
         virgin bits only clear monotonically, so a trace dismissed
@@ -736,9 +736,7 @@ class Campaign:
 
         bigmap = self.config.fuzzer == BIGMAP
         used = self.coverage.active_bytes() if bigmap else 0
-        batch_ops = self.model.exec_cycles_batch(
-            front.traversals, front.n_unique, used_bytes=used)
-        totals = batch_ops.totals()
+        batch_ops, totals, shares = self._price_window(front, used)
 
         budget = self._hang_budget_cycles
         # The cheap-path cost is exact for non-replayed traces, so the
@@ -749,7 +747,6 @@ class Campaign:
         replays = base_replays if budget is None \
             else base_replays | (totals > budget)
 
-        fast = self.telemetry is None
         last_cheap = -1  # last processed trace that skipped the map
         i = 0
         stop = False
@@ -798,54 +795,45 @@ class Campaign:
                             # prefix (exactly what the serial engine's
                             # per-trace pricing would now charge them).
                             used = self.coverage.active_bytes()
-                            batch_ops = self.model.exec_cycles_batch(
-                                front.traversals, front.n_unique,
-                                used_bytes=used)
-                            totals = batch_ops.totals()
+                            batch_ops, totals, shares = \
+                                self._price_window(front, used)
                             if budget is not None:
                                 replays = base_replays | (totals > budget)
                         self._record_curve()
                         i += 1
-                    elif fast:
+                    else:
                         j = i + 1
                         while j < end and not replays[j]:
                             j += 1
                         done, exhausted = self._charge_cheap_run(
-                            front, batch_ops, totals, i, j, used,
-                            deadline)
+                            front, batch_ops, totals, shares, i, j,
+                            used, deadline)
                         if done:
                             last_cheap = i + done - 1
                         i += done
-                        self._record_curve()
                         if exhausted:
                             stop = True
                             break
-                    else:
-                        shape = ExecShape(
-                            traversals=int(front.traversals[i]),
-                            unique_locations=int(front.n_unique[i]),
-                            used_bytes=used, interesting=False,
-                            hash_bytes=0)
-                        self._charge(shape, ops=batch_ops.row(i))
-                        # The per-exec span calls the scalar pipeline
-                        # would have recorded (their clock deltas are
-                        # zero: the cost is charged in _charge, outside
-                        # those spans).
-                        tracer = self._tracer
-                        tracer.add("execute", 0.0)
-                        tracer.add("classify_compare", 0.0)
-                        tracer.add("cost_eval", 0.0)
-                        last_cheap = i
-                        self._record_curve()
-                        i += 1
             if stop:
                 break
 
         if last_cheap >= 0:
             self._repair_map(mega, last_cheap, front)
 
+    def _price_window(self, front: BatchFront, used: int):
+        """Cheap-path pricing of every trace in a window at ``used``:
+        ``(batch_ops, totals, shares)``, where ``shares`` is the
+        ``memsim.share`` attribution telemetry observes (None without
+        telemetry). Re-run whenever ``used_key`` moves."""
+        batch_ops = self.model.exec_cycles_batch(
+            front.traversals, front.n_unique, used_bytes=used)
+        shares = None if self.telemetry is None else \
+            self.model.level_share_batch(front.traversals, front.n_unique,
+                                         used)
+        return batch_ops, batch_ops.totals(), shares
+
     def _charge_cheap_run(self, front: BatchFront, batch_ops, totals,
-                          lo: int, hi: int, used: int,
+                          shares, lo: int, hi: int, used: int,
                           deadline: float) -> Tuple[int, bool]:
         """Charge consecutive cheap traces ``[lo, hi)`` in one sweep.
 
@@ -856,7 +844,14 @@ class Campaign:
         loop — and the shape statistics are exact integer sums. The
         serial engine checks exhaustion *before* each trace, so the run
         stops at the first trace whose preceding clock value crosses
-        the deadline, or when the real-execution cap is reached.
+        the deadline, or when the real-execution cap is reached. With
+        telemetry attached, the run's span deposits and ``memsim.share``
+        observations are made in bulk by :meth:`_observe_cheap_run`.
+
+        The serial engine records the coverage curve after every trace,
+        so the sweep stops at each trace whose charge reaches the next
+        curve sample and records it there: snapshot events then carry
+        the same ``execs`` as the per-trace loop.
 
         Returns ``(n_processed, exhausted)``.
         """
@@ -871,7 +866,6 @@ class Campaign:
         t_clock = int(np.searchsorted(seconds, deadline, side="left"))
         t = min(n, t_clock, self.config.max_real_execs - self.execs)
         if t > 0:
-            self.clock.cycles = float(acc[t])
             oc = self.op_cycles
             oc["execution"] = float(np.add.accumulate(np.concatenate(
                 ([oc["execution"]],
@@ -890,13 +884,48 @@ class Campaign:
             stats.unique_locations += int(
                 np.sum(front.n_unique[lo:lo + t]))
             stats.used_bytes_last = used
-            self.execs += t
+            if self.telemetry is not None:
+                self._observe_cheap_run(batch_ops, shares, lo, t)
+            base = self.execs
+            done = 0
+            while done < t:
+                # First trace whose charge reaches the next sample.
+                done = min(t, done + 1 + int(np.searchsorted(
+                    seconds[done + 1:t + 1], self._next_sample,
+                    side="left")))
+                self.clock.cycles = float(acc[done])
+                self.execs = base + done
+                self._record_curve()
         if t < n:
             # Mirror the serial loop's _exhausted call at the stopping
             # trace (it is what records stopped_by="execs").
             self._exhausted(deadline)
             return t, True
         return t, False
+
+    def _observe_cheap_run(self, batch_ops, shares, lo: int,
+                           t: int) -> None:
+        """Bulk :meth:`_observe_cost` for ``t`` cheap traces from ``lo``.
+
+        Every deposit advances through a left-to-right fold, so spans
+        and histograms end bitwise where the per-trace calls would:
+        per-op span cycles, the execute/classify_compare/cost_eval calls
+        the scalar pipeline records (zero clock delta: cost is charged
+        outside those spans), and one ``memsim.share`` observation per
+        trace and level from the window's
+        :meth:`BitmapCostModel.level_share_batch` (``shares``).
+        """
+        tracer = self._tracer
+        tracer.add_many("op.execution", batch_ops.execution[lo:lo + t])
+        for key in ("reset", "classify", "compare", "hash", "others"):
+            tracer.add_many("op." + key, np.full(t, getattr(batch_ops, key)))
+        zeros = np.zeros(t)
+        for name in ("execute", "classify_compare", "cost_eval"):
+            tracer.add_many(name, zeros)
+        registry = self.telemetry.registry
+        for level, values in shares.items():
+            registry.histogram("memsim.share." + level).observe_many(
+                values[lo:lo + t])
 
     def snapshot(self):
         """Capture a resumable checkpoint of the campaign's state.

@@ -36,6 +36,7 @@ load latency plus a DTLB walk fraction (huge pages eliminate it).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict
 
@@ -53,6 +54,8 @@ BIGMAP = "bigmap"
 DRAM_WRITE_FACTOR = 1.6
 #: Streaming rate for non-temporal stores (cycles/byte), level-independent.
 NON_TEMPORAL_RATE = 0.40
+#: :meth:`BitmapCostModel.cycle_attribution` keys, in insertion order.
+ATTRIBUTION_KEYS = ("core", "l1d", "l2", "llc", "dram", "tlb")
 
 
 @dataclass(frozen=True)
@@ -386,6 +389,29 @@ class BitmapCostModel:
             return "dram"
         return self.machine.levels[level_idx].name.lower()
 
+    def _attribute_sweep(self, attr: dict, region_bytes: int,
+                         level_idx: int, *, write: bool = False,
+                         read_write: bool = False,
+                         non_temporal: bool = False) -> None:
+        """Add one sequential pass to ``attr`` (level, then TLB).
+
+        Shared by :meth:`cycle_attribution` (float values) and
+        :meth:`level_share_batch` (per-row arrays): sweep cycles never
+        depend on the row, so both take the same ``+=`` in the same
+        order."""
+        if region_bytes <= 0:
+            return
+        if non_temporal:
+            # NT stores stream past the hierarchy straight to DRAM.
+            attr["dram"] += region_bytes * NON_TEMPORAL_RATE
+        else:
+            rate = self._seq_rate(level_idx, write=write or read_write)
+            passes = 2.0 if read_write else 1.0
+            attr[self._level_key(level_idx)] += \
+                region_bytes * rate * passes
+        attr["tlb"] += sweep_walk_cycles(region_bytes, self.machine,
+                                         self.config.huge_pages)
+
     def cycle_attribution(self, shape: ExecShape) -> Dict[str, float]:
         """Where one iteration's cycles go: per hierarchy level + TLB.
 
@@ -401,8 +427,7 @@ class BitmapCostModel:
         throughput figures are built from.
         """
         cfg = self.config
-        attr = {"core": 0.0, "l1d": 0.0, "l2": 0.0, "llc": 0.0,
-                "dram": 0.0, "tlb": 0.0}
+        attr = dict.fromkeys(ATTRIBUTION_KEYS, 0.0)
 
         def scatter(n_accesses: int, region_bytes: int,
                     level_idx: int) -> None:
@@ -414,21 +439,7 @@ class BitmapCostModel:
                 n_accesses * self._scat_latency(level_idx)
             attr["tlb"] += n_accesses * walk * self.machine.walk_cycles
 
-        def sweep(region_bytes: int, level_idx: int, *,
-                  write: bool = False, read_write: bool = False,
-                  non_temporal: bool = False) -> None:
-            if region_bytes <= 0:
-                return
-            if non_temporal:
-                # NT stores stream past the hierarchy straight to DRAM.
-                attr["dram"] += region_bytes * NON_TEMPORAL_RATE
-            else:
-                rate = self._seq_rate(level_idx, write=write or read_write)
-                passes = 2.0 if read_write else 1.0
-                attr[self._level_key(level_idx)] += \
-                    region_bytes * rate * passes
-            attr["tlb"] += sweep_walk_cycles(region_bytes, self.machine,
-                                             cfg.huge_pages)
+        sweep = functools.partial(self._attribute_sweep, attr)
 
         level_w = self._level_index(self.working_set_bytes(shape))
         attr["core"] += (self.exec_base_cycles +
@@ -471,6 +482,76 @@ class BitmapCostModel:
         if total <= 0:
             return {key: 0.0 for key in attr}
         return {key: value / total for key, value in attr.items()}
+
+    def level_share_batch(self, traversals: np.ndarray,
+                          n_unique: np.ndarray, used_bytes: int = 0
+                          ) -> Dict[str, np.ndarray]:
+        """:meth:`level_share` for a batch of non-interesting executions.
+
+        Row ``i`` of every returned array is bitwise equal to
+        ``level_share(ExecShape(traversals[i], n_unique[i], used_bytes,
+        interesting=False, hash_bytes=0))[key]``: the attribution walk
+        runs once over whole columns, each level-keyed ``+=`` becomes a
+        masked add (only the rows whose scalar walk performs that add
+        take it) in the scalar order, and the normalizing sum folds the
+        keys in the scalar dict order. ``used_bytes`` is a scalar, as in
+        :meth:`exec_cycles_batch`.
+        """
+        cfg = self.config
+        machine = self.machine
+        trav = np.asarray(traversals, dtype=np.int64)
+        uniq = np.asarray(n_unique, dtype=np.int64)
+        keys = [self._level_key(i) for i in range(len(machine.levels) + 1)]
+        n = trav.size
+        attr = {key: np.zeros(n) for key in ATTRIBUTION_KEYS}
+        hit = uniq > 0  # scatter() skips rows without accesses
+
+        def scatter(region_bytes: int, level) -> None:
+            walk = scattered_walk_fraction(region_bytes, machine,
+                                           cfg.huge_pages)
+            for idx, key in enumerate(keys):
+                np.add(attr[key], uniq * self._scat_latency(idx),
+                       out=attr[key], where=hit & (level == idx))
+            np.add(attr["tlb"], uniq * walk * machine.walk_cycles,
+                   out=attr["tlb"], where=hit)
+
+        sweep = functools.partial(self._attribute_sweep, attr)
+
+        attr["core"] += ((self.exec_base_cycles +
+                          self.fork_overhead_cycles) +
+                         trav * self.per_traversal_cycles)
+        if cfg.kind == AFL:
+            active = cfg.map_size
+            level_w = self._level_index(
+                2 * cfg.map_size + self.target_ws_bytes)
+            scatter(cfg.map_size, level_w)
+            sweep_level = level_w
+        else:
+            active = used_bytes
+            attr["core"] += trav * self.indirection_cycles
+            sizes = np.array([lvl.size_bytes for lvl in machine.levels],
+                             dtype=np.int64)
+            level_w = np.searchsorted(
+                sizes, 2 * used_bytes + uniq * machine.line_size +
+                self.target_ws_bytes, side="left")
+            scatter(cfg.map_size * cfg.index_entry_bytes, level_w)
+            sweep_level = self._level_index(2 * used_bytes)
+            scatter(max(used_bytes, 1), sweep_level)
+        sweep(active, sweep_level, write=True,
+              non_temporal=cfg.non_temporal_reset)
+        sweep(active, sweep_level, read_write=True)
+        sweep(active, sweep_level)
+        if not cfg.merged_classify_compare:
+            sweep(active, sweep_level)
+        attr["core"] += self.others_cycles
+
+        total = attr["core"]
+        for key in ATTRIBUTION_KEYS[1:]:
+            total = total + attr[key]
+        positive = total > 0
+        return {key: np.divide(value, total, out=np.zeros(n),
+                               where=positive)
+                for key, value in attr.items()}
 
     def throughput(self, shape: ExecShape) -> float:
         """Executions per second for a steady stream of ``shape`` execs."""

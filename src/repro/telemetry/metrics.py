@@ -24,6 +24,8 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..core.errors import TelemetryError
 
 #: Metric names: dotted lowercase identifiers (``memsim.share.llc``).
@@ -128,6 +130,20 @@ class Histogram:
         self.counts[idx] += 1
         self.total += 1
         self.sum += value
+
+    def observe_many(self, values) -> None:
+        """Observe ``values`` in order, exactly as a loop of
+        :meth:`observe` would: ``searchsorted`` against the upper edges
+        picks the same bucket as the ``value <= bound`` scan, and the
+        ``sum`` advances through ``np.add.accumulate`` — a strictly
+        left-to-right fold, bitwise equal to the scalar ``+=`` chain."""
+        values = np.asarray(values, dtype=np.float64)
+        buckets = np.searchsorted(self.boundaries, values, side="left")
+        added = np.bincount(buckets, minlength=len(self.counts)).tolist()
+        self.counts = [c + a for c, a in zip(self.counts, added)]
+        self.total += int(values.size)
+        self.sum = float(np.add.accumulate(
+            np.concatenate(([self.sum], values)))[-1])
 
     @property
     def mean(self) -> float:

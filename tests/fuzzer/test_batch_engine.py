@@ -59,6 +59,7 @@ def assert_checkpoints_equal(a, b):
     assert a.op_cycles == b.op_cycles
     assert a.coverage_curve == b.coverage_curve
     assert a.next_sample == b.next_sample
+    assert a.telemetry_state == b.telemetry_state
     assert a.coverage_state.keys() == b.coverage_state.keys()
     for key in a.coverage_state:
         va, vb = a.coverage_state[key], b.coverage_state[key]
@@ -148,7 +149,7 @@ class TestBatchedTelemetryIdentity:
         the scalar pipeline records."""
         from repro.telemetry.recorder import TelemetryRecorder
         built = get_benchmark("zlib").build(scale=0.2, seed_scale=1.0)
-        profiles, events, results = [], [], []
+        profiles, events, results, registries = [], [], [], []
         for batch in (False, True):
             recorder = TelemetryRecorder(instance=0)
             result = Campaign(_config("bigmap", "zlib", batch=batch),
@@ -156,9 +157,15 @@ class TestBatchedTelemetryIdentity:
             profiles.append(recorder.tracer.profile())
             events.append(recorder.events)
             results.append(result)
+            registries.append(recorder.registry.snapshot())
         assert results[0] == results[1]
         assert profiles[0] == profiles[1]
         assert events[0] == events[1]
+        assert registries[0] == registries[1]
+        # The memsim.share histograms saw one observation per exec.
+        for level in ("core", "l1d", "l2", "llc", "dram", "tlb"):
+            assert registries[1]["memsim.share." + level]["total"] == \
+                results[1].execs, level
         execs = results[0].execs
         for name in ("execute", "classify_compare", "cost_eval"):
             assert profiles[1][name]["calls"] == execs, name
@@ -200,7 +207,8 @@ class TestRandomizedCrossConfigSweep:
             self, fuzzer, bench, map_size, rng_seed):
         from repro.telemetry.recorder import TelemetryRecorder
         built = get_benchmark(bench).build(scale=0.2, seed_scale=1.0)
-        campaigns, results, events, profiles = [], [], [], []
+        campaigns, results, events, profiles, registries = \
+            [], [], [], [], []
         for batch in (False, True):
             recorder = TelemetryRecorder(instance=0)
             campaign = Campaign(
@@ -211,10 +219,12 @@ class TestRandomizedCrossConfigSweep:
             campaigns.append(campaign)
             events.append(recorder.events)
             profiles.append(recorder.tracer.profile())
+            registries.append(recorder.registry.snapshot())
         rs, rb = results
         assert rs == rb
         assert events[0] == events[1]
         assert profiles[0] == profiles[1]
+        assert registries[0] == registries[1]
         assert_checkpoints_equal(campaigns[0].snapshot(),
                                  campaigns[1].snapshot())
 
@@ -309,6 +319,8 @@ class TestMPBackendEquivalence:
         assert ref_recorder.events == mp_recorder.events
         assert ref_recorder.tracer.profile() == \
             mp_recorder.tracer.profile()
+        assert ref_recorder.registry.snapshot() == \
+            mp_recorder.registry.snapshot()
         assert_checkpoints_equal(reference.snapshot(), mp_snapshot)
 
     @pytest.mark.parametrize("fuzzer", ["afl", "bigmap"])
@@ -440,4 +452,118 @@ class TestBatchedCheckpointResume:
         assert final.corpus == replay.corpus
         assert final.coverage_curve == replay.coverage_curve
         assert final.op_cycles == replay.op_cycles
+        assert_checkpoints_equal(straight.snapshot(), resumed.snapshot())
+
+
+class _SweepRecordingCampaign(Campaign):
+    """Records every cheap-run sweep as ``(traces charged, curve
+    samples recorded inside it, exhausted)``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sweeps = []
+
+    def _charge_cheap_run(self, *args):
+        samples = len(self.coverage_curve)
+        done, exhausted = super()._charge_cheap_run(*args)
+        self.sweeps.append(
+            (done, len(self.coverage_curve) - samples, exhausted))
+        return done, exhausted
+
+
+def _telemetry_campaign(fuzzer, *, batch, **overrides):
+    from repro.telemetry.recorder import TelemetryRecorder
+    built = get_benchmark("zlib").build(scale=0.2, seed_scale=1.0)
+    return _SweepRecordingCampaign(
+        _config(fuzzer, "zlib", batch=batch, **overrides), built=built,
+        telemetry=TelemetryRecorder(instance=0))
+
+
+def _drive(campaign, ticks):
+    campaign.start()
+    for tick in ticks:
+        campaign.step_until(tick)
+    return campaign.finish()
+
+
+def _assert_telemetry_identical(serial, batched):
+    ts, tb = serial.telemetry, batched.telemetry
+    assert ts.events == tb.events
+    assert ts.tracer.profile() == tb.tracer.profile()
+    assert ts.registry.snapshot() == tb.registry.snapshot()
+    assert_checkpoints_equal(serial.snapshot(), batched.snapshot())
+
+
+@pytest.mark.parametrize("fuzzer", ["afl", "bigmap"])
+class TestTelemetrySweepBoundaries:
+    """Where a telemetry-on cheap-run sweep stops early: at curve
+    samples (it splits there), at the virtual deadline and at the exec
+    cap. Each must leave the events, span profile, registry and
+    checkpoint of the serial per-trace engine; a checkpoint resume must
+    flush the same artifact bytes as an uninterrupted run."""
+
+    def test_run_crossing_several_curve_samples(self, fuzzer):
+        """A dense curve grid puts several samples inside one cheap
+        run; each snapshot event must carry the ``execs`` reached at
+        the trace that crossed its sample, as the per-trace loop
+        records them."""
+        serial = _telemetry_campaign(fuzzer, batch=False,
+                                     curve_points=1000)
+        batched = _telemetry_campaign(fuzzer, batch=True,
+                                      curve_points=1000)
+        rs, rb = serial.run(), batched.run()
+        assert max(samples for _, samples, _ in batched.sweeps) >= 2
+        assert rs == rb
+        _assert_telemetry_identical(serial, batched)
+
+    def test_run_cut_by_virtual_deadline(self, fuzzer):
+        ticks = (0.13, 0.29, 0.5)
+        serial = _telemetry_campaign(fuzzer, batch=False,
+                                     max_real_execs=100_000)
+        batched = _telemetry_campaign(fuzzer, batch=True,
+                                      max_real_execs=100_000)
+        rs, rb = _drive(serial, ticks), _drive(batched, ticks)
+        assert rb.stopped_by == "budget"
+        cut = [done for done, _, exhausted in batched.sweeps if exhausted]
+        assert len(cut) >= 2 and any(cut), batched.sweeps
+        assert rs == rb
+        _assert_telemetry_identical(serial, batched)
+
+    def test_run_cut_by_exec_cap(self, fuzzer):
+        serial = _telemetry_campaign(fuzzer, batch=False,
+                                     max_real_execs=1_237)
+        batched = _telemetry_campaign(fuzzer, batch=True,
+                                      max_real_execs=1_237)
+        rs, rb = serial.run(), batched.run()
+        assert rb.stopped_by == "execs" and rb.execs == 1_237
+        done, _, exhausted = batched.sweeps[-1]
+        assert exhausted and done > 0
+        assert rs == rb
+        _assert_telemetry_identical(serial, batched)
+
+    def test_resume_flushes_byte_identical_artifacts(self, fuzzer,
+                                                     tmp_path):
+        cut, end = 0.2, 0.5
+        straight = _telemetry_campaign(fuzzer, batch=True)
+        _drive(straight, (cut, end))
+        straight.telemetry.flush(str(tmp_path / "straight"))
+
+        first = _telemetry_campaign(fuzzer, batch=True)
+        first.start()
+        first.step_until(cut)
+        checkpoint = first.snapshot()
+        resumed = _telemetry_campaign(fuzzer, batch=True)
+        resumed.start()
+        resumed.restore(checkpoint)
+        resumed.step_until(end)
+        resumed.finish()
+        resumed.telemetry.flush(str(tmp_path / "resumed"))
+
+        names = sorted(p.name for p in (tmp_path / "straight").iterdir())
+        assert {"metrics.json", "events.jsonl", "plot_data"} <= set(names)
+        assert names == sorted(
+            p.name for p in (tmp_path / "resumed").iterdir())
+        for name in names:
+            assert (tmp_path / "straight" / name).read_bytes() == \
+                (tmp_path / "resumed" / name).read_bytes(), name
         assert_checkpoints_equal(straight.snapshot(), resumed.snapshot())

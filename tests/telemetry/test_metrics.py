@@ -1,6 +1,7 @@
 """Metrics primitives: counters, gauges, fixed-bucket histograms, and
 the registry's get-or-create + snapshot + state roundtrip surface."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import TelemetryError
@@ -38,6 +39,34 @@ class TestHistogram:
         h.observe(4.0)
         assert h.mean == pytest.approx(3.0)
         assert Histogram("h.y", (1.0,)).mean == 0.0
+
+    def test_observe_many_matches_observe_loop(self):
+        """Bulk observation is the scalar loop: values exactly on every
+        boundary land in the same buckets, and ``sum`` is bitwise the
+        ``+=`` chain (rounding-sensitive magnitudes included)."""
+        values = list(SHARE_BUCKETS) + [0.0, 1e-17, 0.3, 0.7, 1.0,
+                                         1e16, 1.0, 0.1, 0.2, 2.5]
+        values += [np.nextafter(b, 2.0) for b in SHARE_BUCKETS]
+        bulk, loop = Histogram("h.bulk"), Histogram("h.loop")
+        bulk.observe(0.1)
+        loop.observe(0.1)
+        bulk.observe_many(np.array(values))
+        for value in values:
+            loop.observe(float(value))
+        assert bulk.counts == loop.counts
+        assert bulk.total == loop.total == len(values) + 1
+        assert type(bulk.sum) is float
+        assert np.float64(bulk.sum).view(np.uint64) == \
+            np.float64(loop.sum).view(np.uint64)
+        assert bulk.as_dict() == loop.as_dict()
+
+    def test_observe_many_empty_is_a_no_op(self):
+        h = Histogram("h.x", (1.0, 10.0))
+        h.observe(5.0)
+        before = h.dump_state()
+        h.observe_many(np.zeros(0))
+        h.observe_many([])
+        assert h.dump_state() == before
 
     def test_rejects_unsorted_bounds(self):
         with pytest.raises(TelemetryError):

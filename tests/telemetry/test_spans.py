@@ -1,6 +1,8 @@
 """Span tracer: clock-delta measurement, explicit attribution, the
 decorator form, state roundtrip, and the no-op disabled path."""
 
+import numpy as np
+
 from repro.telemetry.spans import (NULL_TRACER, SPAN_TAXONOMY, NullSpan,
                                    SpanTracer)
 
@@ -36,6 +38,29 @@ class TestSpanTracer:
         span = tracer.span("op.scatter")
         assert span.calls == 4
         assert span.cycles == 50.0
+
+    def test_add_many_matches_per_call_add(self):
+        """Bulk deposits are per-call adds: one call per element and a
+        cycles fold bitwise equal to the ``+=`` chain."""
+        cycles = [0.1, 0.2, 0.3, 1e16, 1.0, 1.0, 0.0, 2.5e-9]
+        bulk, loop = SpanTracer(), SpanTracer()
+        for tracer in (bulk, loop):
+            tracer.add("op.execution", 0.7)
+        bulk.add_many("op.execution", np.array(cycles))
+        for value in cycles:
+            loop.add("op.execution", value)
+        assert bulk.profile() == loop.profile()
+        span = bulk.span("op.execution")
+        assert span.calls == len(cycles) + 1
+        assert type(span.cycles) is float
+        assert np.float64(span.cycles).view(np.uint64) == \
+            np.float64(loop.span("op.execution").cycles).view(np.uint64)
+
+    def test_add_many_empty_creates_span_without_calls(self):
+        tracer = SpanTracer()
+        tracer.add_many("execute", np.zeros(0))
+        assert tracer.profile() == {"execute": {"calls": 0,
+                                                "cycles": 0.0}}
 
     def test_trace_decorator(self):
         clock = FakeClock()
