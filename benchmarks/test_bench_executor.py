@@ -21,9 +21,10 @@ def test_executor_throughput(benchmark, sqlite_small):
 
 
 def test_havoc_throughput(benchmark, sqlite_small):
+    """One seed's 64-mutant havoc batch: draw + apply."""
     mutator = Mutator(np.random.default_rng(0))
     seed = sqlite_small.seeds[0]
-    benchmark(lambda: mutator.havoc(seed))
+    benchmark(lambda: mutator.havoc_apply([mutator.havoc_draw(seed, 64)]))
 
 
 def test_full_pipeline_iteration(benchmark, sqlite_small):
@@ -40,7 +41,7 @@ def test_full_pipeline_iteration(benchmark, sqlite_small):
     seed = sqlite_small.seeds[0]
 
     def iteration():
-        data = mutator.havoc(seed)
+        data = mutator.havoc_apply([mutator.havoc_draw(seed, 1)]).tobytes(0)
         result = ex.execute(data)
         keys, counts = inst.keys_for(
             result, np.frombuffer(data, dtype=np.uint8))

@@ -28,7 +28,7 @@ from ..target.executor import ExecResult
 from ..telemetry.recorder import TelemetryRecorder
 from ..telemetry.spans import NULL_TRACER
 from .clock import VirtualClock
-from .mutation import Mutator
+from .mutation import HavocDraw, MutantBatch, Mutator
 from .pool import SeedPool
 from .scheduling import Scheduler
 from .seed import Seed
@@ -138,13 +138,12 @@ class CampaignConfig:
 
 @dataclass
 class BatchFront:
-    """Vectorized front-half summary of one (mega-)batch.
+    """Vectorized front-half summary of one scheduling window.
 
     Everything the batched processing loop needs per trace, and nothing
-    more — deliberately free of flat key arrays so execution backends
-    (``repro.fuzzer.mp``) can compute it in worker processes and ship
-    only these four small arrays back. Replayed traces re-derive their
-    full state through the scalar pipeline in the parent.
+    more. Execution backends (``repro.fuzzer.mp``) compute it in worker
+    processes, so the per-trace arrays are small and the flat trace and
+    key arrays are optional.
 
     Attributes:
         traversals: per-trace edge-traversal counts (``int64``).
@@ -153,28 +152,41 @@ class BatchFront:
         flags: conservative "could be interesting" flags from the fused
             batched compare (see ``CoverageMap.update_compare_batch``).
         crashes: per-trace crash mask.
-        bres: the full :class:`BatchExecResult`, kept by the in-process
-            backend so replays reuse the already-computed traces instead
-            of re-executing. Optional — backends that compute the front
-            remotely ship only the four arrays above and leave it None;
-            replays then re-execute, producing bit-identical traces.
-        update: the aggregated :class:`BatchUpdate`, kept for the same
-            reason: it lets the processing loop re-test a flagged
-            trace's keys against the *current* virgin map right before
-            its replay and downgrade stale flags to the cheap path.
-            Equally optional, equally result-neutral.
+        batch: the window's mutants (:class:`MutantBatch`), which
+            replays and admissions read.
+        bres: the :class:`BatchExecResult`, so replays reuse the
+            already-computed traces instead of re-executing.
+        update: the aggregated :class:`BatchUpdate`: it lets the
+            processing loop re-test a flagged trace's keys against the
+            *current* virgin map right before its replay and downgrade
+            stale flags to the cheap path.
+        kept: rows whose ``bres``/``update`` segments are present, or
+            None when all are. A remote backend ships only flagged and
+            crashing rows (every row the loop re-tests or replays from
+            its trace); the others have empty segments. Without a kept
+            trace a replay re-executes, which the executor contract
+            makes bit-identical, so all three are result-neutral.
     """
 
     traversals: np.ndarray
     n_unique: np.ndarray
     flags: np.ndarray
     crashes: np.ndarray
+    batch: MutantBatch
     bres: Optional[object] = None
     update: Optional[object] = None
+    kept: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
         return int(self.traversals.size)
+
+    def trace(self, i: int) -> Optional[ExecResult]:
+        """Trace ``i`` from the batch execution, or None if not kept."""
+        if self.bres is None or (self.kept is not None
+                                 and not self.kept[i]):
+            return None
+        return self.bres.result_for(i)
 
 
 class Campaign:
@@ -582,7 +594,7 @@ class Campaign:
             else:
                 self._run_window_serial(window, deadline)
 
-    def _collect_window(self) -> Optional[Tuple["object", List[Seed],
+    def _collect_window(self) -> Optional[Tuple[List[HavocDraw], List[Seed],
                                                np.ndarray]]:
         """Schedule a window of seeds and draw their havoc streams.
 
@@ -590,12 +602,11 @@ class Campaign:
         the scheduler's skip walk, the splice-partner pick and the
         whole-energy :meth:`Mutator.havoc_draw` happen here, up front —
         the canonical mutation stream, consumed per seed in schedule
-        order regardless of window size. The drawn stacks are then
-        materialized by one cross-seed :meth:`Mutator.havoc_apply`
-        pass: the mutation kernels run once per window over the
-        combined row count, which is where the queue-cycle batching
-        actually pays (per-seed application re-pays the kernel setup
-        and the deep-stack scalar tail for every seed).
+        order regardless of window size. Materializing the drawn stacks
+        is RNG-free and left to the engine: the serial engine applies
+        the window in one :meth:`Mutator.havoc_apply` pass, the batched
+        engine in its front (:meth:`_batch_front`), where a process
+        backend applies each worker's shard in that worker.
 
         Both engines process the same collected window afterwards, so
         switching ``batch_execution`` (or the execution backend) cannot
@@ -603,9 +614,9 @@ class Campaign:
         call, which keeps checkpoints window-agnostic: snapshots only
         ever see fully drained windows.
 
-        Returns ``(mega_batch, seeds, bounds)`` — seed ``k``'s mutants
-        are rows ``bounds[k]:bounds[k+1]`` — or None if nothing was
-        scheduled with energy.
+        Returns ``(draws, seeds, bounds)`` — seed ``k``'s mutants are
+        rows ``bounds[k]:bounds[k+1]`` of the applied window — or None
+        if nothing was scheduled with energy.
         """
         seeds: List[Seed] = []
         draws = []
@@ -619,20 +630,24 @@ class Campaign:
             if energy <= 0:
                 continue
             with self._span_mutate:
-                draws.append(self.mutator.havoc_draw(
-                    seed.data, energy,
-                    splice_with=partner.data if partner else None))
+                draws.append(self._draw(
+                    seed.data, energy, partner.data if partner else None))
             seeds.append(seed)
         if not seeds:
             return None
-        mega = self.mutator.havoc_apply(draws)
         bounds = np.concatenate(
             ([0], np.cumsum([d.n for d in draws], dtype=np.int64)))
-        return mega, seeds, bounds
+        return draws, seeds, bounds
+
+    def _draw(self, data: bytes, energy: int,
+              partner: Optional[bytes]) -> HavocDraw:
+        """One seed's :meth:`Mutator.havoc_draw` (a backend hook)."""
+        return self.mutator.havoc_draw(data, energy, splice_with=partner)
 
     def _run_window_serial(self, window, deadline: float) -> None:
         """Serial engine: walk every mutant through the scalar path."""
-        mega, seeds, bounds = window
+        draws, seeds, bounds = window
+        mega = self.mutator.havoc_apply(draws)
         for k, seed in enumerate(seeds):
             with self._span_run_one:
                 stop = self._serial_portion(seed, mega, int(bounds[k]),
@@ -661,16 +676,25 @@ class Campaign:
             self._record_curve()
         return False
 
-    def _batch_front(self, batch) -> BatchFront:
+    def _batch_front(self, window) -> BatchFront:
         """Vectorized front half of the batched engine.
 
-        Execute the whole (mega-)batch, gather instrumentation keys,
-        and run the fused aggregate/classify/compare kernel. Execution
-        backends override this — ``repro.fuzzer.mp`` shards the rows
-        across worker processes and concatenates their results in
-        worker order, which is bit-identical because every per-trace
-        quantity is row/segment-local.
+        Apply the window's drawn stacks (consuming the window's draw
+        list), then compute the batch's front (:meth:`_front_of`).
+        Execution backends override this — ``repro.fuzzer.mp`` applies
+        and computes each contiguous row shard in a worker process and
+        concatenates the results in worker order, which is
+        bit-identical because every mutant and every per-trace quantity
+        is row/segment-local.
         """
+        draws = window[0]
+        batch = self.mutator.havoc_apply(draws)
+        draws.clear()  # spent: free the draw matrices before the front
+        return self._front_of(batch)
+
+    def _front_of(self, batch: MutantBatch) -> BatchFront:
+        """Execute a batch of mutants, gather instrumentation keys, and
+        run the fused aggregate/classify/compare kernel."""
         bres = self.executor.execute_batch(batch.data, batch.lengths)
         keys, counts = self.instrumentation.keys_for_batch(
             bres, list(batch.rows()))
@@ -680,10 +704,10 @@ class Campaign:
                               dtype=bool, count=bres.n)
         return BatchFront(traversals=np.asarray(bres.traversals),
                           n_unique=np.asarray(update.n_unique),
-                          flags=flags, crashes=crashes,
+                          flags=flags, crashes=crashes, batch=batch,
                           bres=bres, update=update)
 
-    def _repair_map(self, batch, i: int, front: BatchFront = None) -> None:
+    def _repair_map(self, front: BatchFront, i: int) -> None:
         """Leave the map exactly as the serial engine would: holding
         the classified trace of the last processed mutant (checkpoints
         capture the coverage map). The trace comes from the batch
@@ -693,10 +717,9 @@ class Campaign:
         ``classify_and_compare``'s map effect (the merge never writes
         the local map). Host-only work: no clock, no virgin, no
         counters."""
-        row = batch.row(i)
-        if front is not None and front.bres is not None:
-            result = front.bres.result_for(i)
-        else:
+        row = front.batch.row(i)
+        result = front.trace(i)
+        if result is None:
             result = self.executor.execute(row.tobytes())
         mkeys, mcounts = self.instrumentation.keys_for(result, row)
         self.coverage.reset()
@@ -731,8 +754,9 @@ class Campaign:
         # (zero clock delta — charging happens later), so the batched
         # engine deposits the same per-exec calls below instead of
         # phantom per-batch entries, keeping profiles bit-identical.
-        mega, seeds, bounds = window
-        front = self._batch_front(mega)
+        _, seeds, bounds = window
+        front = self._batch_front(window)
+        mega = front.batch
 
         bigmap = self.config.fuzzer == BIGMAP
         used = self.coverage.active_bytes() if bigmap else 0
@@ -775,10 +799,9 @@ class Campaign:
                             and totals[i] > budget
                     if replays[i]:
                         mutant = mega.tobytes(i)
-                        pre = front.bres.result_for(i) \
-                            if front.bres is not None else None
                         result, compare, shape, snapshot = \
-                            self._pipeline(mutant, precomputed=pre)
+                            self._pipeline(mutant,
+                                           precomputed=front.trace(i))
                         cycles = self._charge(shape)
                         if result.crash is not None:
                             self._handle_crash(result,
@@ -818,7 +841,7 @@ class Campaign:
                 break
 
         if last_cheap >= 0:
-            self._repair_map(mega, last_cheap, front)
+            self._repair_map(front, last_cheap)
 
     def _price_window(self, front: BatchFront, used: int):
         """Cheap-path pricing of every trace in a window at ``used``:

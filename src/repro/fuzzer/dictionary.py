@@ -14,7 +14,8 @@ guards (deduplicated, deterministic order).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -39,13 +40,42 @@ def extract_dictionary(program: Program, *,
     return sorted(tokens)[:max_tokens]
 
 
+@dataclass
+class DictionaryDraw:
+    """Per-mutant dictionary randomness, drawn with the havoc stack.
+
+    Attributes:
+        token: index of the token to stamp, or -1 for no stamp.
+        mode: uniform float choosing overwrite (< 0.75) or insert.
+        pos: uniform float placing the token in the mutant.
+    """
+
+    token: np.ndarray
+    mode: np.ndarray
+    pos: np.ndarray
+
+    def take(self, a: int, b: int) -> "DictionaryDraw":
+        return DictionaryDraw(token=self.token[a:b], mode=self.mode[a:b],
+                              pos=self.pos[a:b])
+
+    @staticmethod
+    def concat(draws: Sequence["DictionaryDraw"]) -> "DictionaryDraw":
+        return DictionaryDraw(
+            token=np.concatenate([d.token for d in draws]),
+            mode=np.concatenate([d.mode for d in draws]),
+            pos=np.concatenate([d.pos for d in draws]))
+
+
 class DictionaryMixer:
     """Applies dictionary tokens during havoc.
 
     Used by :class:`~repro.fuzzer.mutation.Mutator` when a dictionary
     is supplied: with probability ``use_probability`` per havoc mutant,
     one token is overwritten into (or inserted at) a random position —
-    AFL's ``EXTRAS`` havoc cases.
+    AFL's ``EXTRAS`` havoc cases. The randomness is drawn per seed with
+    the rest of its havoc stack (:meth:`draw`); stamping the tokens
+    into finished mutants is RNG-free
+    (:func:`~repro.fuzzer.mutation.stamp_tokens`).
     """
 
     def __init__(self, tokens: Sequence[bytes], *,
@@ -55,27 +85,36 @@ class DictionaryMixer:
                              f"{use_probability}")
         self.tokens = [t for t in tokens if t]
         self.use_probability = use_probability
+        #: All tokens back to back, with each token's offset and size.
+        self.buffer = np.frombuffer(b"".join(self.tokens), dtype=np.uint8)
+        self.sizes = np.array([len(t) for t in self.tokens],
+                              dtype=np.int64)
+        self.offsets = np.cumsum(self.sizes) - self.sizes
 
     def __bool__(self) -> bool:
         return bool(self.tokens)
 
+    def draw(self, rng: np.random.Generator, n: int) -> DictionaryDraw:
+        """Draw ``n`` mutants' stamps: a use mask, a token index, a mode
+        and a position float per mutant, one vector each."""
+        use = rng.random(n) < self.use_probability
+        token = rng.integers(0, len(self.tokens), size=n)
+        return DictionaryDraw(token=np.where(use, token, -1),
+                              mode=rng.random(n), pos=rng.random(n))
+
     def maybe_apply(self, buf: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-        """Possibly stamp one token into ``buf``; returns the buffer."""
-        if not self.tokens or rng.random() >= self.use_probability:
+        """Possibly stamp one token into ``buf``; returns the result.
+
+        One-buffer form of the batched stamp: draws one mutant's stamp
+        and applies it with room for any insertion.
+        """
+        from .mutation import stamp_tokens
+        if not self.tokens:
             return buf
-        token = np.frombuffer(
-            self.tokens[int(rng.integers(0, len(self.tokens)))],
-            dtype=np.uint8)
-        if buf.size == 0:
-            return token.copy()
-        if rng.random() < 0.75 or buf.size <= token.size:
-            # Overwrite at a random position (clamped to fit).
-            if token.size >= buf.size:
-                return token[:buf.size].copy()
-            pos = int(rng.integers(0, buf.size - token.size + 1))
-            buf[pos:pos + token.size] = token
-            return buf
-        # Insert.
-        pos = int(rng.integers(0, buf.size + 1))
-        return np.concatenate([buf[:pos], token, buf[pos:]])
+        width = buf.size + int(self.sizes.max())
+        row = np.zeros(width, dtype=np.uint8)
+        row[:buf.size] = buf
+        lengths = np.array([buf.size], dtype=np.int64)
+        stamp_tokens(row, lengths, width, self, self.draw(rng, 1))
+        return row[:int(lengths[0])]

@@ -1,20 +1,21 @@
-"""Mutation engine: AFL's deterministic stages and havoc.
+"""Mutation engine: AFL's havoc stage, drawn and applied in batches.
 
-The deterministic stage (walking bitflips, arithmetic, interesting
-values) is implemented for completeness and for the master instance of
-parallel sessions, but — exactly as in the paper's evaluation setup
-(§V-A1) — campaigns skip it by default for short runs and go straight
-to stacked random "havoc" mutations with occasional splicing.
+Campaigns skip AFL's deterministic stage — exactly as in the paper's
+evaluation setup (§V-A1) — and go straight to stacked random "havoc"
+mutations with occasional splicing. A scheduled seed's whole energy is
+drawn at once (:meth:`Mutator.havoc_draw`) and materialized later,
+possibly fused with other seeds' draws and possibly in another process
+(:meth:`Mutator.havoc_apply`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .dictionary import DictionaryMixer
+from .dictionary import DictionaryDraw, DictionaryMixer
 
 #: AFL's interesting values (8/16/32-bit), as unsigned patterns.
 INTERESTING_8 = np.array([128, 255, 0, 1, 16, 32, 64, 100, 127],
@@ -35,9 +36,52 @@ ARITH_MAX = 35
 #: Havoc block-operation size cap, as a fraction of the input.
 _BLOCK_FRACTION = 0.25
 
-#: Below this many live mutants, a vectorized length-op step costs more
-#: than finishing the remaining stacks with plain row slices.
-_SCALAR_STEP_CUTOFF = 48
+#: Havoc op codes, in draw order (``op`` matrix values).
+_FLIP, _BYTE, _WORD, _DWORD, _ARITH, _RANDOM, _DELETE, _INSERT, \
+    _COPY, _FILL = range(10)
+
+
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices of the ranges ``[starts[i], starts[i] + counts[i])``,
+    concatenated in order (one repeat + one arange, whatever the mix)."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - (ends - counts), counts) + \
+        np.arange(total, dtype=np.int64)
+
+
+def stamp_tokens(flat: np.ndarray, lengths: np.ndarray, width: int,
+                 mixer: DictionaryMixer, stamps: DictionaryDraw) -> None:
+    """Stamp the drawn dictionary tokens into a flat ``(n, width)`` batch.
+
+    A stamp overwrites the token at ``floor(pos * (size - tsize + 1))``
+    (or over the whole row, clipped, when the token is at least as long
+    as the row) when ``mode < 0.75`` or the row is no longer than the
+    token; otherwise it inserts the token at ``floor(pos * (size + 1))``
+    and the row grows, clipped at the width. An empty row becomes the
+    token.
+    """
+    rows = np.flatnonzero(stamps.token >= 0)
+    if not rows.size:
+        return
+    token = stamps.token[rows]
+    tsize = mixer.sizes[token]
+    size = lengths[rows]
+    u = stamps.pos[rows]
+    over = (size > 0) & ((stamps.mode[rows] < 0.75) | (size <= tsize))
+    at = np.where(over, np.where(
+        tsize >= size, 0, (u * (size - tsize + 1)).astype(np.int64)),
+        (u * (size + 1)).astype(np.int64))
+    new = np.where(over, size, np.minimum(width, size + tsize))
+    spot = rows * width + at
+    # Inserts shift [at, size) right by the token size, clipped.
+    shift = np.where(over, 0, np.maximum(new - at - tsize, 0))
+    moved = flat[_spans(spot, shift)]
+    put = np.minimum(tsize, np.where(over, size, width) - at)
+    flat[_spans(spot + tsize, shift)] = moved
+    flat[_spans(spot, put)] = mixer.buffer[_spans(mixer.offsets[token],
+                                                  put)]
+    lengths[rows] = new
 
 
 @dataclass
@@ -78,11 +122,12 @@ class HavocDraw:
     """One seed's fully-drawn havoc randomness, not yet applied.
 
     Produced by :meth:`Mutator.havoc_draw`; consumed (possibly many at
-    a time) by :meth:`Mutator.havoc_apply`. Holds the base/partner
-    byte views plus every random draw — splice decisions, stacking
-    depths, and the ``(rounds, n)`` per-op parameter matrices — so
-    that application is a pure function of this record and the shared
-    batch width.
+    a time, possibly in another process) by :meth:`Mutator.havoc_apply`.
+    It holds *all* of a mutant's randomness — splice decisions,
+    stacking depths, the ``(rounds, n)`` per-op parameter matrices and
+    the dictionary stamps — so application is a pure function of this
+    record and the batch width: row ``i``'s mutant depends on column
+    ``i`` of every matrix and nothing else (see :meth:`take`).
 
     Attributes:
         base: seed bytes as a uint8 view.
@@ -95,8 +140,12 @@ class HavocDraw:
         do_splice / cut_a / cut_b: splice mask and cut points, or None
             when splicing was not eligible.
         n_ops: per-mutant stacking depth.
-        op / f1..f4 / sel / val: ``(rounds, n)`` op-parameter
-            matrices, or None when ``n`` is zero.
+        op / sel / val: ``(rounds, n)`` op codes, selectors and value
+            bytes, or None when ``n`` is zero.
+        f: ``(4, rounds, n)`` uniform floats (the four per-op position
+            and size parameters), or None when ``n`` is zero.
+        stamps: per-mutant dictionary stamps, or None without a
+            dictionary.
     """
 
     base: np.ndarray
@@ -109,12 +158,37 @@ class HavocDraw:
     cut_b: Optional[np.ndarray]
     n_ops: np.ndarray
     op: Optional[np.ndarray]
-    f1: Optional[np.ndarray]
-    f2: Optional[np.ndarray]
-    f3: Optional[np.ndarray]
-    f4: Optional[np.ndarray]
+    f: Optional[np.ndarray]
     sel: Optional[np.ndarray]
     val: Optional[np.ndarray]
+    stamps: Optional[DictionaryDraw] = None
+
+    def take(self, a: int, b: int) -> "HavocDraw":
+        """The same draw restricted to mutants ``[a, b)``.
+
+        Applying the slice at the full draw's batch width reproduces
+        rows ``a:b`` of the full apply bit for bit, which is what lets
+        a process backend materialize only its own shard of a window.
+        The parameter matrices are copied (contiguous, cut to the
+        slice's deepest stack), so the full draw can be dropped.
+        """
+        depth = int(self.n_ops[a:b].max()) if b > a else 0
+
+        def cols(m):
+            return None if m is None else \
+                np.ascontiguousarray(m[..., :depth, a:b])
+
+        def rows(v):
+            return None if v is None else v[a:b]
+
+        return HavocDraw(
+            base=self.base, partner=self.partner, n=b - a,
+            width=self.width, fill=rows(self.fill),
+            do_splice=rows(self.do_splice), cut_a=rows(self.cut_a),
+            cut_b=rows(self.cut_b), n_ops=self.n_ops[a:b],
+            op=cols(self.op), f=cols(self.f), sel=cols(self.sel),
+            val=cols(self.val),
+            stamps=None if self.stamps is None else self.stamps.take(a, b))
 
 
 class Mutator:
@@ -140,33 +214,6 @@ class Mutator:
         self.dictionary = DictionaryMixer(dictionary) \
             if dictionary else None
 
-    # -- havoc ------------------------------------------------------------
-
-    def havoc(self, data: bytes,
-              splice_with: Optional[bytes] = None) -> bytes:
-        """One stacked-random mutant of ``data``.
-
-        With a splice partner, the mutant may first be spliced (cut both
-        inputs at random points and join), as AFL does after queue
-        cycles without new finds.
-        """
-        rng = self.rng
-        buf = np.frombuffer(data, dtype=np.uint8).copy()
-        if splice_with is not None and len(splice_with) > 2 and \
-                buf.size > 2 and rng.random() < 0.5:
-            buf = self._splice(buf, np.frombuffer(splice_with,
-                                                  dtype=np.uint8))
-        n_ops = 1 << int(rng.integers(1, HAVOC_STACK_POW2 + 1))
-        for _ in range(n_ops):
-            buf = self._one_havoc_op(buf)
-        if self.dictionary:
-            buf = self.dictionary.maybe_apply(buf, rng)
-        if buf.size > self.max_len:
-            buf = buf[:self.max_len]
-        return buf.tobytes()
-
-    # -- batched havoc ----------------------------------------------------
-
     def _batch_width(self, base_size: int, partner_size: int) -> int:
         """Padded-matrix width: room to grow, capped at ``max_len``."""
         longest = max(base_size, partner_size, self.min_len)
@@ -180,17 +227,15 @@ class Mutator:
         execution strategy draws a scheduled seed's energy through this
         method, in schedule order, so the RNG consumption — and
         therefore every downstream decision — is identical no matter
-        how (or in what grouping) the mutants are later materialized.
-        The draw order is fixed: random fill for empty bases, splice
-        mask and cut points (one vector each), per-row stacking depths,
-        then one ``(rounds, n)`` matrix per op parameter covering every
-        round at once (op codes, four uniform floats, a selector and a
-        value byte).
-
-        Application is deferred to :meth:`havoc_apply`, which may fuse
-        the draws of several seeds into one uniform batch — the
-        cross-seed batching that keeps the vectorized mutation kernels
-        fed with large matrices.
+        how (or in what grouping, or in which process) the mutants are
+        later materialized. The draw order is fixed: random fill for
+        empty bases, splice mask and cut points (one vector each),
+        per-row stacking depths, then one ``(rounds, n)`` matrix per op
+        parameter covering every round at once (op codes, four uniform
+        floats, a selector and a value byte), then the dictionary
+        stamps. The four float matrices are drawn as one
+        ``(4, rounds, n)`` block, which consumes the stream exactly as
+        four consecutive draws would.
         """
         rng = self.rng
         base = np.frombuffer(data, dtype=np.uint8)
@@ -210,561 +255,331 @@ class Mutator:
         n_ops = (1 << rng.integers(1, HAVOC_STACK_POW2 + 1,
                                    size=n)).astype(np.int64)
         rounds = int(n_ops.max()) if n else 0
-        op_m = f1_m = f2_m = f3_m = f4_m = sel_m = val_m = None
+        op_m = f_m = sel_m = val_m = None
         if rounds:
             op_m = rng.integers(0, 10, size=(rounds, n))
-            f1_m = rng.random((rounds, n))
-            f2_m = rng.random((rounds, n))
-            f3_m = rng.random((rounds, n))
-            f4_m = rng.random((rounds, n))
+            f_m = rng.random((4, rounds, n))
             sel_m = rng.integers(0, 1 << 30, size=(rounds, n))
             val_m = rng.integers(0, 256, size=(rounds, n),
                                  dtype=np.uint8)
+        stamps = self.dictionary.draw(rng, n) if self.dictionary else None
         return HavocDraw(base=base, partner=partner, n=n, width=width,
                          fill=fill, do_splice=do_splice, cut_a=cut_a,
-                         cut_b=cut_b, n_ops=n_ops, op=op_m, f1=f1_m,
-                         f2=f2_m, f3=f3_m, f4=f4_m, sel=sel_m,
-                         val=val_m)
+                         cut_b=cut_b, n_ops=n_ops, op=op_m, f=f_m,
+                         sel=sel_m, val=val_m, stamps=stamps)
 
-    def havoc_apply(self, draws: Sequence["HavocDraw"]) -> MutantBatch:
+    def havoc_apply(self, draws: Sequence["HavocDraw"],
+                    width: Optional[int] = None) -> MutantBatch:
         """Materialize pre-drawn havoc stacks as one uniform batch.
 
         Row block ``k`` holds draw ``k``'s mutants, in draw order. All
-        rows share one padded width — the widest draw's — so a whole
-        scheduling window's mutation work runs as a single
-        :meth:`_apply_stacked` pass: the per-round vectorized steps see
-        ``sum(n_k)`` rows instead of ``n_k``, and the scalar tail of
-        the deepest stacks is paid once per window rather than once per
-        seed. Per-row results depend only on that row's own draw and
-        the shared width (rows never interact), so a single-draw apply
-        reproduces the classic one-seed batch exactly.
+        rows share one padded width — ``width`` when given, else the
+        widest draw's — so a whole scheduling window's mutation work
+        runs as a single :meth:`_apply_stacked` pass whose vectorized
+        steps see ``sum(n_k)`` rows. Per-row results depend only on
+        that row's own draw and the shared width (rows never interact),
+        so applying :meth:`HavocDraw.take` slices at the window's width
+        reproduces the matching rows of the whole window. RNG-free.
 
-        Mutants use the same op mix as :meth:`havoc` (same ops, same
-        guard fallbacks to the constant-overwrite op, same block-size
-        cap), but the stack is applied in a canonical type-major order
-        rather than strictly interleaved: each mutant's length-changing
-        block ops run first (in round order), then every byte-level op
-        is applied against the final geometry — bit flips and
-        arithmetic first (commutative), then all overwrites with
-        per-byte conflicts resolved in round order. The composition of
-        any fixed op multiset is as random as the interleaved one, the
-        result is fully deterministic given the RNG seed, and growth is
-        bounded by the matrix width instead of a final truncation.
+        The stack is applied in a canonical type-major order rather
+        than strictly interleaved: each mutant's length-changing block
+        ops run first (in round order), then every byte-level op is
+        applied against the final geometry — bit flips, then
+        arithmetic, then all overwrites with per-byte conflicts
+        resolved in round order — and finally the dictionary stamp.
+        Guard failures (word/dword on short rows, delete at the minimum
+        length, insert at full width) fall back to the constant-block
+        overwrite. Growth is bounded by the matrix width.
 
         Returns:
             :class:`MutantBatch`; rows are zero-padded past their
             logical lengths.
         """
-        if not draws:
-            return MutantBatch(
-                data=np.zeros((0, self.min_len), dtype=np.uint8),
-                lengths=np.zeros(0, dtype=np.int64))
-        width = max(d.width for d in draws)
-        bounds = np.concatenate(
-            ([0], np.cumsum([d.n for d in draws], dtype=np.int64)))
+        if width is None:
+            width = max((d.width for d in draws), default=self.min_len)
+        draws = [d for d in draws if d.n]  # zero-energy draws add no rows
+        ns = np.array([d.n for d in draws], dtype=np.int64)
+        bounds = np.concatenate(([0], np.cumsum(ns)))
         total = int(bounds[-1])
         mat = np.zeros((total, width), dtype=np.uint8)
         lengths = np.empty(total, dtype=np.int64)
-        # The stacks are flattened to one entry per live (row, round)
-        # cell — only ~n_ops/rounds of a padded matrix is live, so the
-        # flat form skips zero-filling and re-gathering the rest.
-        # Built per draw in row-major (row, then round) order, which
-        # :meth:`_apply_stacked` requires.
-        c_rows, c_rnds, c_cols = [], [], []
+        if not total:
+            return MutantBatch(data=mat, lengths=lengths)
+        flat = mat.reshape(-1)
 
+        # Seed bytes (or the random fill of an empty seed) in every row.
         for k, d in enumerate(draws):
             lo, hi = int(bounds[k]), int(bounds[k + 1])
-            sub = mat[lo:hi]
-            base = d.base
-            if base.size:
-                lengths[lo:hi] = min(base.size, width)
-                sub[:, :int(lengths[lo])] = base[:width]
+            if d.base.size:
+                size = min(d.base.size, width)
+                mat[lo:hi, :size] = d.base[:size]
             else:
-                sub[:, :self.min_len] = d.fill
-                lengths[lo:hi] = self.min_len
-            if d.do_splice is not None:
-                for i in np.flatnonzero(d.do_splice):
-                    ca, cb = int(d.cut_a[i]), int(d.cut_b[i])
-                    joined = np.concatenate([base[:ca],
-                                             d.partner[cb:]])[:width]
-                    sub[i] = 0
-                    sub[i, :joined.size] = joined
-                    lengths[lo + i] = joined.size
-            if d.op is not None:
-                n_ops = d.n_ops
-                local = np.repeat(np.arange(d.n, dtype=np.int64), n_ops)
-                rnds = (np.arange(local.size, dtype=np.int64) -
-                        np.repeat(np.cumsum(n_ops) - n_ops, n_ops))
-                c_rows.append(local + lo)
-                c_rnds.append(rnds)
-                c_cols.append((rnds, local, d))
+                size = self.min_len
+                mat[lo:hi, :size] = d.fill
+            lengths[lo:hi] = size
+        self._splice(flat, lengths, width, draws, bounds)
 
-        if c_rows:
-            rows = np.concatenate(c_rows)
-            rnds = np.concatenate(c_rnds)
-            op = np.concatenate([d.op[r, c] for r, c, d in c_cols])
-            f1 = np.concatenate([d.f1[r, c] for r, c, d in c_cols])
-            f2 = np.concatenate([d.f2[r, c] for r, c, d in c_cols])
-            f3 = np.concatenate([d.f3[r, c] for r, c, d in c_cols])
-            f4 = np.concatenate([d.f4[r, c] for r, c, d in c_cols])
-            sel = np.concatenate([d.sel[r, c] for r, c, d in c_cols])
-            val = np.concatenate([d.val[r, c] for r, c, d in c_cols])
-            self._apply_stacked(mat, lengths, width, rows, rnds, op,
-                                f1, f2, f3, f4, sel, val)
+        # Live stack cells, one per (row, round < n_ops[row]), gathered
+        # round-major per draw (every row's rounds stay ascending) into
+        # preallocated arrays with flat takes.
+        live = [np.flatnonzero(np.arange(d.op.shape[0])[:, None] < d.n_ops)
+                for d in draws]
+        ends = np.cumsum([idx.size for idx in live]).tolist()
+        rows = np.empty(ends[-1], dtype=np.int64)
+        rnds = np.empty_like(rows)
+        op = np.empty_like(rows)
+        sel = np.empty_like(rows)
+        f = np.empty((4, ends[-1]))
+        val = np.empty(ends[-1], dtype=np.uint8)
+        for k, (d, idx) in enumerate(zip(draws, live)):
+            cut = slice(ends[k] - idx.size, ends[k])
+            np.divmod(idx, d.n, out=(rnds[cut], rows[cut]))
+            rows[cut] += bounds[k]
+            for src, dst in ((d.op, op), (d.sel, sel), (d.val, val)):
+                np.take(src, idx, out=dst[cut], mode="clip")
+            for j in range(4):
+                np.take(d.f[j], idx, out=f[j, cut], mode="clip")
+        del live
+        self._apply_stacked(flat, lengths, width, rows, rnds,
+                            op.astype(np.int8), f, sel, val)
 
         if self.dictionary:
-            rng = self.rng
-            for i in range(total):
-                out = self.dictionary.maybe_apply(
-                    mat[i, :int(lengths[i])].copy(), rng)
-                out = out[:width]
-                mat[i] = 0
-                mat[i, :out.size] = out
-                lengths[i] = out.size
+            stamp_tokens(flat, lengths, width, self.dictionary,
+                         DictionaryDraw.concat([d.stamps for d in draws]))
         return MutantBatch(data=mat, lengths=lengths)
 
-    def havoc_batch(self, data: bytes, n: int,
-                    splice_with: Optional[bytes] = None) -> MutantBatch:
-        """Generate ``n`` stacked-random mutants of ``data`` at once.
-
-        One-seed convenience over :meth:`havoc_draw` +
-        :meth:`havoc_apply`; both the RNG stream and the produced
-        mutants are exactly a single-draw window's.
-        """
-        return self.havoc_apply([self.havoc_draw(data, n, splice_with)])
-
     @staticmethod
-    def _block_scatter(starts: np.ndarray, lens: np.ndarray):
-        """Flat per-row block indices: ``(repeated_rows_base, cols)``.
+    def _splice(flat: np.ndarray, lengths: np.ndarray, width: int,
+                draws: Sequence["HavocDraw"], bounds: np.ndarray) -> None:
+        """Splice the drawn rows of every draw at once.
 
-        For row-aligned blocks ``[starts[i], starts[i]+lens[i])``,
-        returns the within-block offsets and the flat column indices so
-        a whole vector of variable-length blocks becomes one fancy
-        index.
+        A spliced row is ``base[:cut_a] + partner[cut_b:]`` truncated to
+        the width: the base prefix is already in place, so the row only
+        needs the partner's suffix written from ``cut_a`` and the rest
+        of the base's bytes cleared.
         """
-        total = int(lens.sum())
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(lens) - lens, lens)
-        return within, np.repeat(starts, lens) + within
+        parts, rows, cut_a, cut_b, p_off, p_size = [], [], [], [], [], []
+        offset = 0
+        for k, d in enumerate(draws):
+            if d.do_splice is None:
+                continue
+            hit = np.flatnonzero(d.do_splice)
+            parts.append(d.partner)
+            rows.append(hit + bounds[k])
+            cut_a.append(d.cut_a[hit])
+            cut_b.append(d.cut_b[hit])
+            p_off.append(np.full(hit.size, offset, dtype=np.int64))
+            p_size.append(np.full(hit.size, d.partner.size,
+                                  dtype=np.int64))
+            offset += d.partner.size
+        if not parts:
+            return
+        rows = np.concatenate(rows)
+        ca = np.minimum(np.concatenate(cut_a), width)
+        cb = np.concatenate(cut_b)
+        p_off = np.concatenate(p_off)
+        old = lengths[rows]
+        new = np.minimum(width, ca + np.concatenate(p_size) - cb)
+        row0 = rows * width
+        partners = np.concatenate(parts)
+        # Gather before the writes: the partner bytes never alias mat.
+        suffix = partners[_spans(p_off + cb, new - ca)]
+        flat[_spans(row0 + new, np.maximum(old - new, 0))] = 0
+        flat[_spans(row0 + ca, new - ca)] = suffix
+        lengths[rows] = new
 
-    def _apply_stacked(self, mat: np.ndarray, lengths: np.ndarray,
+    def _apply_stacked(self, flat: np.ndarray, lengths: np.ndarray,
                        width: int, rows: np.ndarray, rnds: np.ndarray,
-                       op: np.ndarray, f1a: np.ndarray, f2a: np.ndarray,
-                       f3a: np.ndarray, f4a: np.ndarray,
-                       sela: np.ndarray, vala: np.ndarray) -> None:
+                       op: np.ndarray, f: np.ndarray, sel: np.ndarray,
+                       val: np.ndarray) -> None:
         """Apply every mutant's havoc stack in canonical type-major order.
 
         Inputs are flat parallel arrays with one entry per live
-        (row, round) stack cell, sorted row-major — grouped by ``rows``
-        with ``rnds`` ascending inside each group (the order
-        :meth:`havoc_apply` builds). Length-changing ops
-        (delete/insert) run first, per mutant in round order,
-        vectorized across mutants one stack position at a time.
-        Byte-level ops then run against the final geometry in a
-        handful of whole-batch passes: XOR bit flips and mod-256
-        arithmetic are commutative (``ufunc.at`` handles duplicate
-        targets), and all overwrites are resolved per byte by round
-        order — the same bytes a sequential replay of the writes would
-        leave behind. (Cell *order* never matters in this phase: every
-        (byte, round) key pair is unique, so the conflict sort is
-        total.) Guard failures (word/dword on short rows, delete at
-        the minimum length, insert at full width) fall through to the
-        constant-overwrite op, as in the scalar if/elif chain.
+        (row, round) stack cell, rounds ascending within each row
+        (``f`` is ``(4, cells)``). One stable sort by op code groups
+        the cells: each op's cells become one slice, and the delete and
+        insert cells stay in per-row round order.
+
+        Length-changing ops (delete/insert) run first, per mutant in
+        round order, vectorized across mutants one stack position at a
+        time (:meth:`_length_step`); the step-major cell order is
+        computed once, so each step is a slice. Byte-level ops then run
+        against the final geometry: XOR bit flips, then mod-256
+        arithmetic (``ufunc.at`` handles duplicate targets), then every
+        overwrite as a packed ``(round << 8) | value`` int16 entry, and
+        one ``np.maximum.at`` keeps each byte's round-latest write —
+        the bytes a sequential replay of the writes would leave behind
+        (a byte's rounds are unique, so the max is the latest).
         """
-        n = int(lengths.size)
-        is_len = (op == 6) | (op == 7)
+        # Deletes and inserts share one group so a row's length cells
+        # keep their round order.
+        key = np.where(op == _INSERT, _DELETE, op)
+        order = np.argsort(key, kind="stable")
+        cuts = np.concatenate(([0], np.cumsum(
+            np.bincount(key, minlength=10)))).tolist()
+        rows, rnds, op = rows[order], rnds[order], op[order]
+        f, sel, val = f[:, order], sel[order], val[order]
+
+        def group(code):
+            return slice(cuts[code], cuts[code + 1])
 
         # -- phase A: block deletes / inserts, sequential per mutant --
-        fb_idx = [np.empty(0, dtype=np.int64)]  # guard-fallback cells
-        a_idx = np.flatnonzero(is_len)  # row-major: by row, then round
-        if a_idx.size:
-            counts = np.bincount(rows[a_idx], minlength=n)
-            starts = np.cumsum(counts) - counts
-            for step in range(int(counts.max())):
-                live = counts > step
-                idx = starts[live] + step
-                if idx.size <= _SCALAR_STEP_CUTOFF:
-                    self._length_tail(mat, lengths, width, a_idx, rows,
-                                      starts, counts, step, op, f1a,
-                                      f2a, f3a, f4a, vala, fb_idx)
-                    break
-                cell = a_idx[idx]
-                r = rows[cell]
-                is_del = op[cell] == 6
-                ln = lengths[r]
-                bad = np.where(is_del, ln <= self.min_len, ln >= width)
-                if bad.any():
-                    fb_idx.append(cell[bad])
-                    good = ~bad
-                    cell, r = cell[good], r[good]
-                    is_del, ln = is_del[good], ln[good]
-                if r.size:
-                    self._length_step(mat, lengths, width, r, is_del,
-                                      ln, f1a[cell], f2a[cell],
-                                      f3a[cell], f4a[cell], vala[cell])
+        fallback = self._length_ops(flat, lengths, width, group(_DELETE),
+                                    rows, op, f, val)
 
         # -- phase B: byte-level ops against the final geometry --
-        b_idx = np.flatnonzero(~is_len)
-        rows_b = rows[b_idx]
-        rnds_b = rnds[b_idx]
-        opv = op[b_idx]
-        ln = lengths[rows_b]
-        opv[(opv == 2) & (ln < 2)] = 9
-        opv[(opv == 3) & (ln < 4)] = 9
-        f1 = f1a[b_idx]
-        f2 = f2a[b_idx]
-        f3 = f3a[b_idx]
-        sel = sela[b_idx]
-        val = vala[b_idx]
+        ln = lengths[rows]
+        word, dword = (np.arange(cuts[code], cuts[code + 1])
+                       for code in (_WORD, _DWORD))
+        short_w, short_d = ln[word] < 2, ln[dword] < 4
+        fills = np.concatenate((np.arange(cuts[_FILL], cuts[_FILL + 1]),
+                                fallback, word[short_w], dword[short_d]))
+        word, dword = word[~short_w], dword[~short_d]
 
-        flat = mat.reshape(-1)
-        m = opv == 0  # flip one bit
-        if m.any():
-            pos = (f1[m] * ln[m]).astype(np.int64)
-            np.bitwise_xor.at(
-                flat, rows_b[m] * width + pos,
-                np.uint8(1) << (f2[m] * 8).astype(np.uint8))
+        # Bit flips, then arithmetic: both commute within their kind.
+        c = group(_FLIP)
+        np.bitwise_xor.at(
+            flat, rows[c] * width + (f[0, c] * ln[c]).astype(np.int64),
+            np.uint8(1) << (f[1, c] * 8).astype(np.uint8))
+        c = group(_ARITH)
+        delta = 1 + (sel[c] % ARITH_MAX)
+        delta = np.where(f[2, c] < 0.5, -delta, delta)
+        np.add.at(flat, rows[c] * width + (f[0, c] * ln[c]).astype(np.int64),
+                  delta.astype(np.uint8))
 
-        m = opv == 4  # arithmetic +/- (wraps mod 256)
-        if m.any():
-            pos = (f1[m] * ln[m]).astype(np.int64)
-            delta = 1 + (sel[m] % ARITH_MAX)
-            delta = np.where(f3[m] < 0.5, -delta, delta)
-            np.add.at(flat, rows_b[m] * width + pos,
-                      delta.astype(np.uint8))
+        # Overwrites: fold packed (round << 8) | value entries into a
+        # per-byte max, one op group at a time (the max is order-free),
+        # then give every written byte its round-latest value.
+        acc = np.full(flat.size, -1, dtype=np.int16)
 
-        # Overwrites: collect per-byte (flat index, round, value)
-        # triples, then keep the round-latest value per byte.
-        lin_parts: list = []
-        key_parts: list = []
-        val_parts: list = []
+        def emit(cells, cols, values, reps=None):
+            packed = (rnds[cells] << 8).astype(np.int16)
+            if reps is not None:
+                packed = np.repeat(packed, reps)
+            np.maximum.at(acc, cols, packed | values)
 
-        def emit(rows, rnds, cols, values):
-            lin_parts.append(rows * width + cols)
-            key_parts.append(rnds)
-            val_parts.append(values)
+        c = group(_BYTE)
+        emit(c, rows[c] * width + (f[0, c] * ln[c]).astype(np.int64),
+             INTERESTING_8[sel[c] % INTERESTING_8.size])
+        c = group(_RANDOM)
+        emit(c, rows[c] * width + (f[0, c] * ln[c]).astype(np.int64),
+             val[c])
+        for c, table in ((word, INTERESTING_16), (dword, INTERESTING_32)):
+            nbytes = table.itemsize
+            pos = rows[c] * width + \
+                (f[0, c] * (ln[c] - nbytes + 1)).astype(np.int64)
+            value = table[sel[c] % table.size]
+            value = np.where(f[2, c] < 0.5, value.byteswap(), value)
+            for byte in range(nbytes):
+                emit(c, pos + byte,
+                     ((value >> (8 * byte)) & 0xFF).astype(np.int16))
+        c = group(_COPY)  # overwrite a block from elsewhere in the row
+        n_ = ln[c]
+        cap = np.maximum(1, (n_ * _BLOCK_FRACTION).astype(np.int64))
+        size = 1 + (f[1, c] * cap).astype(np.int64)
+        row0 = rows[c] * width
+        src = row0 + (f[0, c] * (n_ - size + 1)).astype(np.int64)
+        dst = row0 + (f[2, c] * (n_ - size + 1)).astype(np.int64)
+        from_cols = _spans(src, size)
+        emit(c, from_cols + np.repeat(dst - src, size), flat[from_cols],
+             size)
+        c = fills  # constant block, plus guard fallbacks
+        n_ = ln[c]
+        cap = np.maximum(1, (n_ * _BLOCK_FRACTION).astype(np.int64))
+        size = 1 + (f[1, c] * cap).astype(np.int64)
+        dst = rows[c] * width + (f[0, c] * (n_ - size + 1)).astype(np.int64)
+        emit(c, _spans(dst, size), np.repeat(val[c], size), size)
 
-        m = opv == 1  # interesting byte
-        if m.any():
-            pos = (f1[m] * ln[m]).astype(np.int64)
-            emit(rows_b[m], rnds_b[m], pos,
-                 INTERESTING_8[sel[m] % INTERESTING_8.size])
+        np.copyto(flat, acc.astype(np.uint8), where=acc >= 0)
 
-        m = opv == 2  # interesting word
-        if m.any():
-            pos = (f1[m] * (ln[m] - 1)).astype(np.int64)
-            value = INTERESTING_16[sel[m] % INTERESTING_16.size]
-            value = np.where(f3[m] < 0.5, value.byteswap(), value)
-            emit(rows_b[m], rnds_b[m], pos,
-                 (value & 0xFF).astype(np.uint8))
-            emit(rows_b[m], rnds_b[m], pos + 1,
-                 (value >> 8).astype(np.uint8))
+    def _length_ops(self, flat: np.ndarray, lengths: np.ndarray,
+                    width: int, group: slice, rows: np.ndarray,
+                    op: np.ndarray, f: np.ndarray,
+                    val: np.ndarray) -> np.ndarray:
+        """Run the delete/insert cells ``group`` step by step; return
+        the cells whose guard failed (they become constant-block fills).
 
-        m = opv == 3  # interesting dword
-        if m.any():
-            pos = (f1[m] * (ln[m] - 3)).astype(np.int64)
-            value = INTERESTING_32[sel[m] % INTERESTING_32.size]
-            value = np.where(f3[m] < 0.5, value.byteswap(), value)
-            for byte in range(4):
-                emit(rows_b[m], rnds_b[m], pos + byte,
-                     ((value >> (8 * byte)) & 0xFF).astype(np.uint8))
-
-        m = opv == 5  # random byte
-        if m.any():
-            pos = (f1[m] * ln[m]).astype(np.int64)
-            emit(rows_b[m], rnds_b[m], pos, val[m])
-
-        m = opv == 8  # overwrite block from elsewhere
-        if m.any():
-            r, n_ = rows_b[m], ln[m]
-            cap = np.maximum(1, (n_ * _BLOCK_FRACTION).astype(np.int64))
-            length = 1 + (f2[m] * cap).astype(np.int64)
-            src = (f1[m] * (n_ - length + 1)).astype(np.int64)
-            dst = (f3[m] * (n_ - length + 1)).astype(np.int64)
-            within, src_cols = self._block_scatter(src, length)
-            block_rows = np.repeat(r, length)
-            emit(block_rows, np.repeat(rnds_b[m], length),
-                 np.repeat(dst, length) + within,
-                 flat[block_rows * width + src_cols])
-
-        # constant-block overwrite: drawn op 9 plus guard fallbacks
-        m = opv == 9
-        i9 = np.concatenate([b_idx[m]] + fb_idx)
-        if i9.size:
-            r9 = rows[i9]
-            n_ = lengths[r9]
-            cap = np.maximum(1, (n_ * _BLOCK_FRACTION).astype(np.int64))
-            length = 1 + (f2a[i9] * cap).astype(np.int64)
-            dst = (f1a[i9] * (n_ - length + 1)).astype(np.int64)
-            _, dst_cols = self._block_scatter(dst, length)
-            emit(np.repeat(r9, length), np.repeat(rnds[i9], length),
-                 dst_cols, np.repeat(vala[i9], length))
-
-        if lin_parts:
-            lin = np.concatenate(lin_parts)
-            if lin.size:
-                key = np.concatenate(key_parts)
-                values = np.concatenate(val_parts)
-                # Round-latest value per byte without sorting: fold
-                # (round, value) packed entries into a dense max
-                # accumulator (a byte's round numbers are unique, so
-                # the max picks the latest write), then write every
-                # contended byte its winner — duplicate scatters all
-                # carry the same value.
-                acc = np.full(mat.size, -1, dtype=np.int16)
-                np.maximum.at(acc, lin,
-                              (key * 256 + values).astype(np.int16))
-                mat.reshape(-1)[lin] = (acc[lin] & 0xFF).astype(np.uint8)
-
-    def _length_tail(self, mat: np.ndarray, lengths: np.ndarray,
-                     width: int, a_idx: np.ndarray, rows: np.ndarray,
-                     starts: np.ndarray, counts: np.ndarray, step: int,
-                     op: np.ndarray, f1a: np.ndarray, f2a: np.ndarray,
-                     f3a: np.ndarray, f4a: np.ndarray,
-                     vala: np.ndarray, fb_idx: list) -> None:
-        """Finish the remaining length-op stacks with row slices.
-
-        Once few mutants still have pending deletes/inserts, the fixed
-        cost of a vectorized :meth:`_length_step` exceeds plain
-        slice-copy work, so the deep tail of the longest stacks runs
-        sequentially. Bit-identical to the vectorized step: same
-        formulas, same guard fallbacks, same write order per mutant.
+        The group's cells are in per-row round order. Step ``s`` is
+        every row's ``s``-th length op, so one stable sort by step
+        makes each step a contiguous slice of pre-gathered parameters.
         """
+        cells = np.arange(group.start, group.stop)
+        if not cells.size:
+            return cells
+        r = rows[cells]
+        by_row = np.argsort(r, kind="stable")
+        per_row = np.bincount(r)
+        step = np.empty(cells.size, dtype=np.int64)
+        step[by_row] = np.arange(cells.size) - np.repeat(
+            np.cumsum(per_row) - per_row, per_row)
+        order = np.argsort(step, kind="stable")
+        cells, r, step = cells[order], r[order], step[order]
+        is_del = op[cells] == _DELETE
+        a, b, c = (f[j, cells] for j in range(3))
+        # An insert clones its block when f4 < 0.75, else fills it with
+        # the cell's value byte; a delete fills the vacated tail with 0.
+        clone = ~is_del & (f[3, cells] < 0.75)
+        fill = np.where(is_del, 0, val[cells]).astype(np.uint8)
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(step))))
         min_len = self.min_len
-        fb: list = []
-        for row in np.flatnonzero(counts > step):
-            row_v = mat[row]
-            for j in range(starts[row] + step,
-                           starts[row] + counts[row]):
-                cell = int(a_idx[j])
-                ln = int(lengths[row])
-                cap = max(1, int(ln * _BLOCK_FRACTION))
-                length = 1 + int(f2a[cell] * cap)
-                if op[cell] == 6:  # delete block
-                    if ln <= min_len:
-                        fb.append(cell)
-                        continue
-                    start = int(f1a[cell] * (ln - length + 1))
-                    row_v[start:ln - length] = \
-                        row_v[start + length:ln].copy()
-                    row_v[ln - length:ln] = 0
-                    lengths[row] = max(min_len, ln - length)
-                else:  # clone / insert block
-                    if ln >= width:
-                        fb.append(cell)
-                        continue
-                    src = int(f1a[cell] * (ln - length + 1))
-                    dst = int(f3a[cell] * (ln + 1))
-                    if f4a[cell] < 0.75:
-                        block = row_v[src:src + length].copy()
-                    else:
-                        block = vala[cell]
-                    tail = row_v[dst:ln].copy()
-                    t_end = min(width, ln + length)
-                    tail_fit = t_end - (dst + length)
-                    if tail_fit > 0:
-                        row_v[dst + length:t_end] = tail[:tail_fit]
-                    b_end = min(width, dst + length)
-                    if isinstance(block, np.ndarray):
-                        row_v[dst:b_end] = block[:b_end - dst]
-                    else:
-                        row_v[dst:b_end] = block
-                    lengths[row] = min(width, ln + length)
-        if fb:
-            fb_idx.append(np.asarray(fb, dtype=np.int64))
+        fallback = []
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            rs, dl = r[lo:hi], is_del[lo:hi]
+            ln = lengths[rs]
+            bad = np.where(dl, ln <= min_len, ln >= width)
+            if bad.any():
+                fallback.append(cells[lo:hi][bad])
+                good = ~bad
+                if not good.any():
+                    continue
+                sl = np.flatnonzero(good) + lo
+                rs, dl, ln = rs[good], dl[good], ln[good]
+            else:
+                sl = slice(lo, hi)
+            lengths[rs] = self._length_step(flat, width, rs, dl, ln, a[sl],
+                                            b[sl], c[sl], clone[sl],
+                                            fill[sl])
+        return np.concatenate(fallback) if fallback else cells[:0]
 
-    def _length_step(self, mat: np.ndarray, lengths: np.ndarray,
-                     width: int, r: np.ndarray, is_del: np.ndarray,
-                     n_: np.ndarray, a: np.ndarray, b: np.ndarray,
-                     c: np.ndarray, d: np.ndarray,
-                     v: np.ndarray) -> None:
-        """One stack position of block deletes/inserts, fused.
+    def _length_step(self, flat: np.ndarray, width: int, r: np.ndarray,
+                     is_del: np.ndarray, n_: np.ndarray, a: np.ndarray,
+                     b: np.ndarray, c: np.ndarray, clone: np.ndarray,
+                     fill: np.ndarray) -> np.ndarray:
+        """One stack position of block deletes/inserts; new lengths.
 
-        Both ops are "move the tail, then write a region": a delete
-        shifts ``[start+length, n)`` left and zeroes the vacated end, a
-        clone/insert shifts ``[dst, n)`` right and writes the block into
-        the gap. Fusing them means one gather/scatter pair for all tail
-        moves and one for all region writes, regardless of the
-        delete/insert mix. Rows in ``r`` are distinct, so the ops are
-        independent; all gathers land before any scatter.
+        Each op rewrites one region of its row as two spans. A delete
+        of ``[src, src+length)`` shifts ``[src+length, n)`` left by
+        ``length`` and zeroes the vacated ``length`` bytes at the end;
+        an insert at ``dst`` shifts ``[dst, n)`` right by ``length``
+        (clipped at the width) and writes the block — cloned from
+        ``[src, src+length)`` or the ``fill`` byte — into the gap. Rows
+        in ``r`` are distinct and every span is gathered before any is
+        written, so one gather and two scatters do the whole step.
         """
         cap = np.maximum(1, (n_ * _BLOCK_FRACTION).astype(np.int64))
         length = 1 + (b * cap).astype(np.int64)
         # Delete's block start and insert's clone source share a formula.
         src = (a * (n_ - length + 1)).astype(np.int64)
         dst = (c * (n_ + 1)).astype(np.int64)  # unused for deletes
-        # Clone sources are the only region bytes that must be read
-        # before any scatter lands; deletes fill with zeros and the
-        # rest with a constant, so those skip the gather entirely.
-        flat = mat.reshape(-1)
-        base = r * width  # 1-D fancy indexing beats 2-D row/col pairs
-        clone = ~is_del & (d < 0.75)
-        within_c, src_cols_c = self._block_scatter(src[clone],
-                                                   length[clone])
-        clone_base = np.repeat(base[clone], length[clone])
-        clone_vals = flat[clone_base + src_cols_c]
-        # Tail move: [move_from, n) shifts to start at move_to.
-        move_from = np.where(is_del, src + length, dst)
-        move_to = np.where(is_del, src, dst + length)
-        tail_len = n_ - move_from
-        _, from_cols = self._block_scatter(move_from, tail_len)
-        tail_base = np.repeat(base, tail_len)
-        tail_vals = flat[tail_base + from_cols]
-        to_cols = from_cols + np.repeat(move_to - move_from, tail_len)
-        if to_cols.size and int(to_cols.max()) >= width:
-            keep = to_cols < width
-            tail_base, to_cols = tail_base[keep], to_cols[keep]
-            tail_vals = tail_vals[keep]
-        flat[tail_base + to_cols] = tail_vals
-        # Region writes: the vacated end (delete, zeros), the cloned
-        # block, or the constant fill — distinct rows per class, so
-        # three scatters land exactly what the fused one did.
-        del_base = np.repeat(base[is_del], length[is_del])
-        _, del_cols = self._block_scatter((n_ - length)[is_del],
-                                          length[is_del])
-        flat[del_base + del_cols] = 0
-        clone_cols = within_c + np.repeat(dst[clone], length[clone])
-        if clone_cols.size and int(clone_cols.max()) >= width:
-            keep = clone_cols < width
-            clone_base, clone_cols = clone_base[keep], clone_cols[keep]
-            clone_vals = clone_vals[keep]
-        flat[clone_base + clone_cols] = clone_vals
-        const = ~is_del & (d >= 0.75)
-        within_k, _ = self._block_scatter(dst[const], length[const])
-        const_base = np.repeat(base[const], length[const])
-        const_cols = within_k + np.repeat(dst[const], length[const])
-        const_vals = np.repeat(v[const], length[const])
-        if const_cols.size and int(const_cols.max()) >= width:
-            keep = const_cols < width
-            const_base, const_cols = const_base[keep], const_cols[keep]
-            const_vals = const_vals[keep]
-        flat[const_base + const_cols] = const_vals
-        lengths[r] = np.where(
-            is_del, np.maximum(self.min_len, n_ - length),
-            np.minimum(width, n_ + length))
-
-    def _splice(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        cut_a = int(self.rng.integers(1, a.size))
-        cut_b = int(self.rng.integers(1, b.size))
-        return np.concatenate([a[:cut_a], b[cut_b:]])
-
-    def _one_havoc_op(self, buf: np.ndarray) -> np.ndarray:
-        rng = self.rng
-        n = buf.size
-        if n == 0:
-            return rng.integers(0, 256, size=self.min_len, dtype=np.uint8)
-        op = int(rng.integers(0, 10))
-        if op == 0:  # flip one bit
-            pos = int(rng.integers(0, n))
-            buf[pos] ^= np.uint8(1 << int(rng.integers(0, 8)))
-        elif op == 1:  # interesting byte
-            buf[int(rng.integers(0, n))] = INTERESTING_8[
-                int(rng.integers(0, INTERESTING_8.size))]
-        elif op == 2 and n >= 2:  # interesting word
-            pos = int(rng.integers(0, n - 1))
-            value = INTERESTING_16[int(rng.integers(0,
-                                                    INTERESTING_16.size))]
-            if rng.random() < 0.5:
-                value = value.byteswap()
-            buf[pos:pos + 2] = np.frombuffer(value.tobytes(),
-                                             dtype=np.uint8)
-        elif op == 3 and n >= 4:  # interesting dword
-            pos = int(rng.integers(0, n - 3))
-            value = INTERESTING_32[int(rng.integers(0,
-                                                    INTERESTING_32.size))]
-            if rng.random() < 0.5:
-                value = value.byteswap()
-            buf[pos:pos + 4] = np.frombuffer(value.tobytes(),
-                                             dtype=np.uint8)
-        elif op == 4:  # arithmetic +/-
-            pos = int(rng.integers(0, n))
-            delta = int(rng.integers(1, ARITH_MAX + 1))
-            if rng.random() < 0.5:
-                delta = -delta
-            buf[pos] = np.uint8((int(buf[pos]) + delta) & 0xFF)
-        elif op == 5:  # random byte
-            buf[int(rng.integers(0, n))] = rng.integers(0, 256,
-                                                        dtype=np.uint8)
-        elif op == 6 and n > self.min_len:  # delete block
-            length = self._block_len(n)
-            start = int(rng.integers(0, n - length + 1))
-            keep = max(self.min_len, n - length)
-            buf = np.concatenate([buf[:start],
-                                  buf[start + length:]])[:None]
-            if buf.size < self.min_len:
-                buf = np.pad(buf, (0, self.min_len - buf.size))
-        elif op == 7 and n < self.max_len:  # clone / insert block
-            length = self._block_len(n)
-            src = int(rng.integers(0, n - length + 1))
-            dst = int(rng.integers(0, n + 1))
-            if rng.random() < 0.75:
-                block = buf[src:src + length]
-            else:  # constant-byte insertion
-                block = np.full(length, rng.integers(0, 256,
-                                                     dtype=np.uint8))
-            buf = np.concatenate([buf[:dst], block, buf[dst:]])
-        elif op == 8:  # overwrite block from elsewhere
-            length = self._block_len(n)
-            src = int(rng.integers(0, n - length + 1))
-            dst = int(rng.integers(0, n - length + 1))
-            buf[dst:dst + length] = buf[src:src + length].copy()
-        else:  # overwrite block with constant byte
-            length = self._block_len(n)
-            dst = int(rng.integers(0, n - length + 1))
-            buf[dst:dst + length] = rng.integers(0, 256, dtype=np.uint8)
-        return buf
-
-    def _block_len(self, n: int) -> int:
-        cap = max(1, int(n * _BLOCK_FRACTION))
-        return int(self.rng.integers(1, cap + 1))
-
-    # -- deterministic stage ----------------------------------------------
-
-    def deterministic(self, data: bytes, *,
-                      max_mutants: Optional[int] = None) -> Iterator[bytes]:
-        """AFL's deterministic mutants of ``data``, in stage order.
-
-        Stages: walking 1/2/4-bit flips, walking byte flips, byte
-        arithmetic, interesting bytes. ``max_mutants`` truncates the
-        stream (the full stream is O(len × 100)).
-        """
-        base = np.frombuffer(data, dtype=np.uint8)
-        produced = 0
-
-        def emit(buf: np.ndarray):
-            nonlocal produced
-            produced += 1
-            return buf.tobytes()
-
-        n_bits = base.size * 8
-        for width in (1, 2, 4):
-            for bit in range(n_bits - width + 1):
-                buf = base.copy()
-                for w in range(width):
-                    pos, off = divmod(bit + w, 8)
-                    buf[pos] ^= np.uint8(1 << off)
-                yield emit(buf)
-                if max_mutants is not None and produced >= max_mutants:
-                    return
-        for pos in range(base.size):
-            buf = base.copy()
-            buf[pos] ^= np.uint8(0xFF)
-            yield emit(buf)
-            if max_mutants is not None and produced >= max_mutants:
-                return
-        for pos in range(base.size):
-            for delta in range(1, ARITH_MAX + 1):
-                for signed in (delta, -delta):
-                    buf = base.copy()
-                    buf[pos] = np.uint8((int(buf[pos]) + signed) & 0xFF)
-                    yield emit(buf)
-                    if max_mutants is not None and \
-                            produced >= max_mutants:
-                        return
-        for pos in range(base.size):
-            for value in INTERESTING_8:
-                buf = base.copy()
-                buf[pos] = value
-                yield emit(buf)
-                if max_mutants is not None and produced >= max_mutants:
-                    return
+        shrunk = n_ - length
+        grown = np.minimum(width, n_ + length)
+        # Shifted span: into [to, to + count) from [to + shift, ...).
+        to = np.where(is_del, src, dst + length)
+        count = np.maximum(np.where(is_del, shrunk, grown) - to, 0)
+        # Block span: the vacated tail (deletes) or the inserted block.
+        blk = np.where(is_del, shrunk, dst)
+        blk_n = np.minimum(length, np.where(is_del, n_, grown) - blk)
+        row0 = r * width
+        to += row0
+        blk += row0
+        copy_to = np.concatenate((to, blk[clone]))
+        copy_from = np.concatenate((to + np.where(is_del, length, -length),
+                                    (row0 + src)[clone]))
+        copy_n = np.concatenate((count, blk_n[clone]))
+        from_cols = _spans(copy_from, copy_n)
+        moved = flat[from_cols]
+        flat[from_cols + np.repeat(copy_to - copy_from, copy_n)] = moved
+        const = ~clone
+        flat[_spans(blk[const], blk_n[const])] = np.repeat(fill[const],
+                                                          blk_n[const])
+        return np.where(is_del, np.maximum(self.min_len, shrunk), grown)

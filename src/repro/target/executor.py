@@ -225,7 +225,7 @@ class Executor:
         """Run a ``(n, width)`` uint8 matrix of inputs in one pass.
 
         Rows must be zero-padded past their logical lengths — exactly
-        the layout :meth:`Mutator.havoc_batch` produces — because the
+        the layout :meth:`Mutator.havoc_apply` produces — because the
         scalar path zero-fills its buffer; any padding width is
         accepted (rows are truncated or zero-extended to the program's
         ``input_len``). Each trace is bit-identical to

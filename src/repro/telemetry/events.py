@@ -82,6 +82,14 @@ EVENT_SCHEMA: Dict[str, Dict[str, str]] = {
         "exporter": "int",
         "entries": "int",
     },
+    # A process-backend worker died (repro.fuzzer.mp): the parent
+    # recomputed its ``rows``-row shard and finishes the campaign
+    # in-process, so results are unaffected.
+    "worker_lost": {
+        "worker": "int",
+        "reason": "str",
+        "rows": "int",
+    },
     # Fleet trial lifecycle (repro.fleet) ----------------------------
     # ``t`` on fleet events is the dispatcher's *logical* clock (a
     # monotone event counter), not virtual campaign time: a fleet spans

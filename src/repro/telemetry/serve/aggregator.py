@@ -270,6 +270,9 @@ class TelemetryAggregator:
     def _on_quarantine(self, series, event) -> List[dict]:
         return self._timeline(series, event)
 
+    def _on_worker_lost(self, series, event) -> List[dict]:
+        return self._timeline(series, event)
+
     def _on_fleet_resume(self, series, event) -> List[dict]:
         return self._timeline(series, event)
 

@@ -349,6 +349,95 @@ class TestMPBackendEquivalence:
             MPCampaign(_config("bigmap", "zlib", batch=True), workers=0)
 
 
+class TestMPWorkerLoss:
+    """SIGKILL of a worker costs one shard, not the campaign: the
+    parent recomputes the lost shard from the draws it holds, reports
+    the loss, and finishes in-process on the same results."""
+
+    @staticmethod
+    def _killing_campaign(config, built, recorder, kill_at, victim):
+        import os
+        import signal
+        from repro.fuzzer.mp import MPCampaign
+
+        class Killing(MPCampaign):
+            windows = 0
+
+            def _batch_front(self, window):
+                if self.windows == kill_at:
+                    if not self._procs:
+                        self._start_workers()
+                    proc = self._procs[victim]
+                    os.kill(proc.pid, signal.SIGKILL)
+                    proc.join(timeout=10)
+                    assert not proc.is_alive()
+                self.windows += 1
+                return super()._batch_front(window)
+
+        return Killing(config, built=built, telemetry=recorder, workers=2)
+
+    @pytest.mark.parametrize("kill_at,victim",
+                             [(0, 0), (1, 1), (4, 0), (9, 1)])
+    def test_results_match_in_process_campaign(self, kill_at, victim):
+        from repro.telemetry.events import validate_stream
+        from repro.telemetry.recorder import TelemetryRecorder
+        built = get_benchmark("zlib").build(scale=0.2, seed_scale=1.0)
+        config = _config("bigmap", "zlib", batch=True, batch_window=2)
+        ref_recorder = TelemetryRecorder(instance=0)
+        reference = Campaign(config, built=built, telemetry=ref_recorder)
+        expected = reference.run()
+
+        recorder = TelemetryRecorder(instance=0)
+        with self._killing_campaign(config, built, recorder, kill_at,
+                                    victim) as campaign:
+            result = campaign.run()
+            assert campaign.windows > kill_at, "kill never happened"
+            assert campaign._in_process and not campaign._procs
+            snapshot = campaign.snapshot()
+
+        assert result == expected
+        events = validate_stream(recorder.events)
+        lost = [e for e in events if e["kind"] == "worker_lost"]
+        assert len(lost) == 1
+        assert lost[0]["worker"] == victim and lost[0]["rows"] > 0
+        assert [e for e in events if e["kind"] != "worker_lost"] == \
+            ref_recorder.events
+        mine, theirs = reference.snapshot(), snapshot
+        mine.telemetry_state = theirs.telemetry_state = None
+        assert_checkpoints_equal(mine, theirs)
+
+    def test_workers_dying_mid_window(self):
+        """Every worker exits while computing the third window's front:
+        the parent reads EOF on each pipe and computes both shards."""
+        import os
+        from repro.fuzzer.mp import MPCampaign
+        from repro.telemetry.recorder import TelemetryRecorder
+        parent = os.getpid()
+
+        class Crashing(MPCampaign):
+            fronts = 0
+
+            def _front_of(self, batch):
+                if os.getpid() != parent:
+                    self.fronts += 1
+                    if self.fronts == 3:
+                        os._exit(3)
+                return super()._front_of(batch)
+
+        built = get_benchmark("zlib").build(scale=0.2, seed_scale=1.0)
+        config = _config("bigmap", "zlib", batch=True, batch_window=2)
+        expected = Campaign(config, built=built).run()
+        recorder = TelemetryRecorder(instance=0)
+        with Crashing(config, built=built, telemetry=recorder,
+                      workers=2) as campaign:
+            result = campaign.run()
+            assert campaign._in_process
+        assert result == expected
+        lost = [e for e in recorder.events if e["kind"] == "worker_lost"]
+        assert [e["worker"] for e in lost] == [0, 1]
+        assert all("EOFError" in e["reason"] for e in lost)
+
+
 class TestCheckpointResumeSweep:
     """Kill-at-every-tick: snapshot a straight-through campaign at
     several mid-campaign virtual times and resume each checkpoint —

@@ -53,8 +53,8 @@ class TestMixer:
         token = max(tokens, key=len)
         mutator = Mutator(np.random.default_rng(3),
                           dictionary=[token])
-        base = bytes(64)
-        hits = sum(token in mutator.havoc(base) for _ in range(300))
+        batch = mutator.havoc_apply([mutator.havoc_draw(bytes(64), 300)])
+        hits = sum(token in batch.tobytes(i) for i in range(batch.n))
         assert hits > 10, "dictionary tokens should appear regularly"
 
     def test_never_applied_when_probability_zero(self):
@@ -70,6 +70,37 @@ class TestMixer:
         rng = np.random.default_rng(1)
         out = mixer.maybe_apply(np.empty(0, dtype=np.uint8), rng)
         assert out.tolist() == [1, 2]
+
+    def test_batched_stamp_matches_row_by_row_reference(self):
+        """The vectorized stamp equals a plain per-row slice version of
+        the same overwrite/insert rules, clipping at the width."""
+        from repro.fuzzer.mutation import stamp_tokens
+        mixer = DictionaryMixer([b"\x01", b"\x02\x03\x04", b"MAGICWORD!"],
+                                use_probability=0.7)
+        gen = np.random.default_rng(9)
+        width, n = 24, 400
+        lengths = gen.integers(0, width + 1, size=n)
+        mat = gen.integers(1, 256, size=(n, width), dtype=np.uint8)
+        mat[np.arange(width) >= lengths[:, None]] = 0
+        stamps = mixer.draw(gen, n)
+        expected = []
+        for i in range(n):
+            row = mat[i, :lengths[i]].tobytes()
+            if stamps.token[i] >= 0:
+                token = mixer.tokens[stamps.token[i]]
+                size, u = len(row), stamps.pos[i]
+                if size and (stamps.mode[i] < 0.75 or size <= len(token)):
+                    at = 0 if len(token) >= size else \
+                        int(u * (size - len(token) + 1))
+                    row = (row[:at] + token + row[at + len(token):])[:size]
+                else:
+                    at = int(u * (size + 1))
+                    row = (row[:at] + token + row[at:])[:width]
+            expected.append(row)
+        flat = mat.reshape(-1)
+        stamp_tokens(flat, lengths, width, mixer, stamps)
+        assert [mat[i, :lengths[i]].tobytes() for i in range(n)] == expected
+        assert not mat[np.arange(width) >= lengths[:, None]].any()
 
 
 class TestCampaignIntegration:
